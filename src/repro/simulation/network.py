@@ -410,12 +410,18 @@ class DynamicNetwork:
 
         Returns ``[0, b1, ..., num_hosts]`` (``shards + 1`` entries) such
         that shard ``k`` owns hosts ``[bounds[k], bounds[k+1])``.  Cut
-        points are chosen so every shard carries roughly the same number
-        of *base CSR edges* (host count alone skews badly on power-law
-        topologies: the hub-heavy prefix would dwarf the tail shards).
-        Ranges may be empty when ``shards > num_hosts``.  Partitioning a
-        network that has grown past its base table (joined hosts) is
-        refused -- overflow rows are not range-partitionable.
+        points balance a per-host cost of *one host plus its base CSR
+        edges*, each term normalised to half the total weight: a shard's
+        cost is ``hosts / n + edges / E`` (halved).  Edges alone skew
+        badly on power-law topologies -- the hub-heavy prefix takes a
+        small host range while per-host work (activation, timers,
+        accounting) piles up in the tail shards -- and host count alone
+        skews the other way.  Cut ``k`` is the first host at which the
+        prefix cost reaches ``k / shards`` of the total, so every shard's
+        cost is within one host's cost of ``total / shards``.  Ranges may
+        be empty when ``shards > num_hosts``.  Partitioning a network
+        that has grown past its base table (joined hosts) is refused --
+        overflow rows are not range-partitionable.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -424,15 +430,20 @@ class DynamicNetwork:
             raise ValueError(
                 "cannot range-partition a network with joined hosts")
         offsets = self._base_offsets
-        total = offsets[n]
+        # Integer costs keep the cut exact: host h weighs E + deg(h) * n,
+        # so hosts and edges each sum to n * E.  An edgeless graph
+        # degenerates to a host-count cut.
+        edges = max(offsets[n], 1)
+
+        def prefix_cost(h: int) -> int:
+            return h * edges + offsets[h] * n
+
+        total = prefix_cost(n)
         bounds = [0]
         for k in range(1, shards):
-            cut = bisect_left(offsets, total * k // shards)
-            if cut > n:
-                cut = n
-            if cut < bounds[-1]:
-                cut = bounds[-1]
-            bounds.append(cut)
+            bounds.append(bisect_left(
+                range(n + 1), total * k, lo=bounds[-1],
+                key=lambda h: prefix_cost(h) * shards))
         bounds.append(n)
         return bounds
 

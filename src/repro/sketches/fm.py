@@ -23,7 +23,12 @@ Storage and sampling are built for the simulation kernel's hot path:
   followed by a zero has probability ``2**-(k+1)`` and a chunk of all ones
   has probability ``2**-(num_bits-1)`` -- exactly the clamped coin-toss
   distribution, at a fraction of the cost of per-toss ``rng.random()``
-  calls.
+  calls.  The chunks are read all at once, branch-free: ``ceil(log2 c)``
+  masked shifts spread them into ``num_bits``-wide slots (each slot's top
+  bit left zero), then ``(x + ONES) & ~x`` -- ``ONES`` holding bit 0 of
+  every slot -- sets exactly the lowest zero bit of every slot, which is
+  the packed sketch.  The masks are computed once per
+  ``(c, num_bits)`` shape.
 
 The pre-rewrite sampler (one ``rng.random()`` call per coin toss) is kept
 as the ``"legacy"`` sampling mode.  It consumes the underlying RNG stream
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: The Flajolet-Martin bias correction constant phi; E[2^z] ~= phi * n.
 FM_CORRECTION = 0.77351
@@ -94,6 +99,44 @@ def _geometric_bit_index(rng: random.Random, num_bits: int) -> int:
     return index
 
 
+#: Per-``(repetitions, num_bits)`` constants of the fast sampler; see
+#: :func:`_spread_plan`.
+_SPREAD_PLANS: Dict[Tuple[int, int], Tuple[Tuple[Tuple[int, int], ...], int]] = {}
+
+
+def _spread_plan(repetitions: int,
+                 num_bits: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """The masked shifts that spread a draw's chunks into vector slots.
+
+    Chunk ``rep`` (``num_bits - 1`` bits at ``rep * (num_bits - 1)``)
+    must move left by ``rep`` bits to sit at the bottom of its slot.
+    Moving every chunk whose index has bit ``s`` set by ``2**s``, for
+    ``s`` from the highest bit down, does that in ``ceil(log2 c)`` steps
+    with no two chunks ever overlapping.  Returns ``(steps, ones)``:
+    ``steps`` lists ``(mask, shift)`` pairs in application order and
+    ``ones`` has bit 0 of every slot set.
+    """
+    chunk = num_bits - 1
+    full = (1 << chunk) - 1
+    steps = []
+    shift = (1 << (repetitions - 1).bit_length()) >> 1
+    while shift:
+        mask = 0
+        for rep in range(repetitions):
+            if rep & shift:
+                # Earlier (larger) steps already moved this chunk by the
+                # bits of ``rep`` above ``shift``.
+                mask |= full << (rep * chunk + (rep & -(shift << 1)))
+        steps.append((mask, shift))
+        shift >>= 1
+    ones = 0
+    for rep in range(repetitions):
+        ones |= 1 << (rep * num_bits)
+    plan = (tuple(steps), ones)
+    _SPREAD_PLANS[(repetitions, num_bits)] = plan
+    return plan
+
+
 def _sample_packed_element(rng: random.Random, repetitions: int,
                            num_bits: int) -> int:
     """One element's sketch as a packed int: one set bit per vector."""
@@ -102,24 +145,21 @@ def _sample_packed_element(rng: random.Random, repetitions: int,
         for rep in range(repetitions):
             packed |= 1 << (rep * num_bits + _geometric_bit_index(rng, num_bits))
         return packed
-    chunk = num_bits - 1
-    if chunk == 0:
-        # One-bit vectors: every element lands on bit 0 of each vector.
-        packed = 0
-        for rep in range(repetitions):
-            packed |= 1 << (rep * num_bits)
-        return packed
-    draw = rng.getrandbits(repetitions * chunk)
-    mask = (1 << chunk) - 1
-    packed = 0
-    offset = 0
-    for rep in range(repetitions):
-        bits = (draw >> (rep * chunk)) & mask
-        # Index = length of the run of ones at the bottom of the chunk:
-        # ``~bits & (bits + 1)`` isolates the lowest zero bit.
-        packed |= 1 << (offset + (~bits & (bits + 1)).bit_length() - 1)
-        offset += num_bits
-    return packed
+    plan = _SPREAD_PLANS.get((repetitions, num_bits))
+    if plan is None:
+        plan = _spread_plan(repetitions, num_bits)
+    steps, ones = plan
+    if num_bits == 1:
+        # One-bit vectors: every element lands on bit 0 of each vector,
+        # and no randomness is drawn.
+        return ones
+    x = rng.getrandbits(repetitions * (num_bits - 1))
+    for mask, shift in steps:
+        moved = x & mask
+        x = (x ^ moved) | (moved << shift)
+    # Every slot's top bit is zero, so ``+ ones`` carries within the slot
+    # only; ``& ~x`` keeps the bit the carry stopped at -- the lowest zero.
+    return (x + ones) & ~x
 
 
 class FMSketch:

@@ -369,3 +369,104 @@ def test_join_overflow_fuzz_through_calendar_queue(seed, delay):
                 if network.is_alive(neighbor) and network.is_alive(event.host):
                     assert network.has_edge(event.host, neighbor)
                     assert network.has_edge(neighbor, event.host)
+
+
+# ---------------------------------------------------------------------------
+# Range partitioning for the sharded lane
+# ---------------------------------------------------------------------------
+
+def _host_costs(network):
+    """Each host's partition cost, scaled to integers: ``E + deg(h) * n``."""
+    n = network.num_hosts
+    degrees = [len(network.neighbors(h)) for h in range(n)]
+    edges = max(sum(degrees), 1)
+    return [edges + degree * n for degree in degrees]
+
+
+def _edge_only_bounds(network, shards):
+    """The previous edge-balanced cut, kept to pick inputs it differs on."""
+    from bisect import bisect_left
+
+    n = network.num_hosts
+    offsets = [0]
+    for h in range(n):
+        offsets.append(offsets[-1] + len(network.neighbors(h)))
+    bounds = [0]
+    for k in range(1, shards):
+        cut = bisect_left(offsets, offsets[n] * k // shards)
+        bounds.append(max(min(cut, n), bounds[-1]))
+    return bounds + [n]
+
+
+class TestPartitionBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40),
+           shards=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_bounds_cover_every_host_monotonically(self, n, shards, seed):
+        network = DynamicNetwork.from_edges(
+            n, _random_edges(n, random.Random(seed)))
+        bounds = network.partition_bounds(shards)
+        assert len(bounds) == shards + 1
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+
+    def test_more_shards_than_hosts_leaves_empty_ranges(self):
+        network = DynamicNetwork.from_edges(3, [(0, 1), (1, 2)])
+        bounds = network.partition_bounds(8)
+        assert len(bounds) == 9
+        assert bounds[0] == 0 and bounds[-1] == 3
+        assert sum(1 for a, b in zip(bounds, bounds[1:]) if a == b) >= 5
+
+    def test_edgeless_network_cuts_by_host_count(self):
+        network = DynamicNetwork([set() for _ in range(12)])
+        assert network.partition_bounds(4) == [0, 3, 6, 9, 12]
+
+    def test_rejects_non_positive_shards(self):
+        network = DynamicNetwork.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="at least 1"):
+            network.partition_bounds(0)
+
+    def test_rejects_joined_hosts(self):
+        network = DynamicNetwork.from_edges(3, [(0, 1), (1, 2)])
+        network.join_host([0, 2], 1.0)
+        with pytest.raises(ValueError, match="joined hosts"):
+            network.partition_bounds(2)
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gnutella_shards_balance_host_plus_edge_cost(self, shards, seed):
+        from repro.topology.gnutella import gnutella_like_topology
+
+        network = gnutella_like_topology(600, seed=seed).to_network()
+        costs = _host_costs(network)
+        total = sum(costs)
+        largest = max(costs)
+        bounds = network.partition_bounds(shards)
+        for lo, hi in zip(bounds, bounds[1:]):
+            # |cost - total / K| <= one host's cost, in exact integers.
+            assert abs(sum(costs[lo:hi]) * shards - total) <= largest * shards
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_lane_matches_spec_on_a_recut_gnutella(self, shards):
+        from repro.protocols.base import run_protocol
+        from repro.protocols.wildfire import Wildfire
+        from repro.simulation.churn import ChurnSchedule
+        from repro.topology.gnutella import gnutella_like_topology
+        from repro.workloads.values import uniform_values
+
+        topology = gnutella_like_topology(200, seed=5)
+        network = topology.to_network()
+        assert (network.partition_bounds(shards)
+                != _edge_only_bounds(network, shards))
+        values = uniform_values(len(topology), low=1, high=50, seed=5)
+        churn = ChurnSchedule(failures=[(1.0, 150), (2.0, 40), (3.0, 9)])
+        results = {}
+        for lane in ("python", "sharded"):
+            result = run_protocol(
+                Wildfire(), topology, values, "count", querying_host=0,
+                churn=churn, seed=5, lane=lane, shards=shards)
+            results[lane] = (result.value, result.costs.fingerprint(),
+                             result.finished_at, result.fallback_reason)
+        assert results["sharded"][3] is None
+        assert results["sharded"] == results["python"]
